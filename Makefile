@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-all bench-smoke bench-shard-smoke bigcluster-smoke congestion-smoke serving-smoke fault-matrix fault-matrix-shard snapshot-smoke examples clean
+.PHONY: install test bench bench-all bench-smoke bench-shard-smoke bigcluster-smoke congestion-smoke serving-smoke perfbench-smoke fault-matrix fault-matrix-shard snapshot-smoke examples clean
 
 install:
 	@$(PYTHON) -m pip install -e . 2>/dev/null || ( \
@@ -60,6 +60,15 @@ congestion-smoke:
 serving-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_serving.py -q
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serving.py --smoke
+
+# Repository-benchmark smoke: one tiny seed-1 run of each perfbench
+# workload; fails when a run crashes or reports a failed check.
+perfbench-smoke:
+	@for w in stream_fifo serve_netfront serve_fifo_churn; do \
+		$(PYTHON) -m perfbench.child --workload $$w --seed 1 --scale tiny | tail -n 1 | \
+		$(PYTHON) -c "import json, sys; f = json.load(sys.stdin)['failures']; print('$$w', f or 'ok'); sys.exit(bool(f))" \
+		|| exit 1; \
+	done
 
 # Fault-injection matrix: every {frame type x handshake phase x fault
 # kind} cell must converge (exit nonzero when any cell leaks or hangs).

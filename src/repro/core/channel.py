@@ -696,11 +696,16 @@ class Channel(LifecycleHooks):
                     except GrantError:
                         pass  # listener already revoked (force path)
             self._mapped_grefs = []
-        if self.port is not None:
-            if notify_peer and self.port.peer is not None:
+        port = self.port
+        if port is not None:
+            evtchn = guest.machine.hypervisor.evtchn
+            if notify_peer and port.peer is not None:
                 yield guest.exec(costs.evtchn_send)
-                guest.machine.hypervisor.evtchn.notify(self.port)
-            guest.machine.hypervisor.evtchn.close(self.port)
+                # A teardown overlapping this one (local and peer-initiated
+                # can race) may have closed the port while we yielded.
+                if not port.closed:
+                    evtchn.notify(port)
+            evtchn.close(port)
             self.port = None
         self.out_fifo = self.in_fifo = None
         if self._drain_kick is not None and not self._drain_kick.triggered:

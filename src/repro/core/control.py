@@ -441,8 +441,10 @@ class ChannelController:
 
         channel.out_fifo.mark_inactive()
         channel.in_fifo.mark_inactive()
+        port = channel.port
         yield guest.exec(costs.evtchn_send)
-        guest.machine.hypervisor.evtchn.notify(channel.port)
+        if not port.closed:  # a peer-initiated disengage may have won
+            guest.machine.hypervisor.evtchn.notify(port)
 
         # Receive anything still pending in our incoming FIFO.
         yield from channel.drain_remaining()

@@ -18,20 +18,41 @@ Fast-path design
 ----------------
 Profiling the paper workloads shows >90 % of wall-clock time inside the
 engine and its per-event allocations, so the hot paths are organised
-around three ideas:
+around these ideas:
 
 * **Immediate run queue.**  Zero-delay scheduling (``succeed()``,
   process init, bounces, interrupts -- the overwhelming majority of
   events) appends to a plain deque instead of the heap.  Because
   simulated time never decreases, the deque is always sorted by
-  ``(time, seq)``; :meth:`Simulator.step` merges the deque head with the
-  heap head, so the global firing order is *identical* to a single heap
-  keyed on ``(time, seq)`` -- same-time FIFO semantics are preserved
-  exactly, at O(1) instead of O(log n) per event.
-* **Allocation-free resume.**  Process resumption dispatches through
-  bound methods and tiny ``__slots__`` records (:class:`_Resume`,
-  :class:`_InterruptResume`) rather than per-resume lambda closures and
-  full :class:`Event` bounce objects.
+  ``(time, seq)``; merging the deque head with the heap head gives a
+  global firing order *identical* to a single heap keyed on
+  ``(time, seq)`` -- same-time FIFO semantics are preserved exactly, at
+  O(1) instead of O(log n) per event.
+* **One dispatch loop.**  :meth:`Simulator._drain` is the only loop
+  that fires calendar entries; :meth:`~Simulator.step`,
+  :meth:`~Simulator.run`, :meth:`~Simulator.run_bounded` and
+  :meth:`~Simulator.run_until_complete` wrap it with a time limit, a
+  process to stop on, and an entry budget.
+* **Wheel probed on demand.**  The timer wheel
+  (:mod:`repro.sim.timers`) is the third calendar source.
+  ``Simulator._wnext`` is a lower bound on the time of its earliest
+  live entry: ``head()``/``pop_head()`` set it and inserts lower it.
+  The loop calls ``wheel.head()`` only when ``_wnext`` is at or before
+  the next run-queue/heap time.  A cancel, a ``pop_head()`` that leaves
+  no live entry at the head of the wheel's due list, and an insert into
+  an empty wheel set it to -inf, forcing a probe on the next entry --
+  the points where a ``head()`` call may collect a slot -- so collects
+  and cascades happen at the same entries as with a probe per entry.
+* **Allocation-free resume.**  Process resumption has one body,
+  :meth:`Process._resume`, called with the fired Event or with a tiny
+  ``__slots__`` record (:class:`_Resume`, :class:`_InterruptResume`)
+  carrying ``_value``/``_ok`` in place of a bounce Event and closure.
+* **One object per CPU segment.**  :meth:`repro.sim.resources.CPUCores.execute`
+  returns an Event that is also the calendar entry ending the segment,
+  and runs its waiters inline when their wake-up would fire next anyway.
+  The wake-up still takes its sequence number and is still counted, so
+  :attr:`Simulator.event_count` counts every calendar entry *and* every
+  inline wake-up: the same number as if each wake-up had been queued.
 * **No f-strings on hot constructors.**  Event/timeout names are static
   strings; pretty names are built lazily in ``__repr__`` only.
 
@@ -58,6 +79,9 @@ __all__ = [
 ]
 
 _INF = float("inf")
+#: stand-in for the next run-queue/heap entry when both are empty: it
+#: sorts after every finite ``(time, seq)`` wheel key.
+_END = (_INF, 0, None)
 
 
 class SimulationError(Exception):
@@ -191,39 +215,45 @@ class _Resume:
 
     Replaces the bounce/init Event-plus-lambda pattern: one small
     ``__slots__`` record instead of an Event, a callbacks list, and a
-    closure.  Scheduling order (and thus determinism) is unchanged --
-    the record consumes one sequence number exactly like the Event it
-    replaces.
+    closure.  It carries ``_value``/``_ok`` like the event it stands for,
+    so :meth:`Process._resume` takes either.  Scheduling order (and thus
+    determinism) is unchanged -- the record consumes one sequence number
+    exactly like the Event it replaces.
     """
 
-    __slots__ = ("process", "value", "ok")
+    __slots__ = ("process", "_value", "_ok")
+
+    #: read by :meth:`Process._detach`: a record sits on no callbacks list.
+    _state = PROCESSED
 
     def __init__(self, process: "Process", value: Any, ok: bool):
         self.process = process
-        self.value = value
-        self.ok = ok
+        self._value = value
+        self._ok = ok
+        process._waiting_on = self
 
     def _process(self) -> None:
         proc = self.process
-        proc._waiting_on = None
-        proc._step(self.value, self.ok)
+        if proc._waiting_on is self:  # else an interrupt took this wakeup
+            proc._resume(self)
 
 
 class _InterruptResume:
     """Calendar entry that throws :class:`Interrupt` into a process."""
 
-    __slots__ = ("process", "cause")
+    __slots__ = ("process", "_value", "_ok")
 
     def __init__(self, process: "Process", cause: Any):
         self.process = process
-        self.cause = cause
+        self._value = Interrupt(cause)
+        self._ok = False
 
     def _process(self) -> None:
         proc = self.process
         if proc._state != PENDING:
             return  # process finished before the interrupt fired
         proc._detach()
-        proc._step(Interrupt(self.cause), False)
+        proc._resume(self)
 
 
 class _Condition(Event):
@@ -302,7 +332,8 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
+        #: the Event (or resume record) the process is parked on.
+        self._waiting_on: Any = None
         # Kick off the process via an immediately-scheduled resume record.
         sim._seq += 1
         sim._ready.append((sim.now, sim._seq, _Resume(self, None, True)))
@@ -335,40 +366,34 @@ class Process(Event):
                 pass
         self._waiting_on = None
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event) -> None:
+        """Advance the generator one yield with ``event``'s outcome:
+        send its value on ok, throw it otherwise.  ``event`` is the
+        Event the process waited on or a resume record standing in for
+        one (both carry ``_value``/``_ok``)."""
         self._waiting_on = None
-        self._step(event._value, event._ok)
-
-    def _step(self, value: Any, ok: bool) -> None:
-        """Advance the generator one yield: send on ok, throw otherwise."""
-        sim = self.sim
-        prev = sim.active_process
-        sim.active_process = self
         try:
-            if ok:
-                target = self.generator.send(value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.throw(value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
-            sim.active_process = prev
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim.active_process = prev
-            if sim.strict:
+            if self.sim.strict:
                 raise
             self.fail(exc)
             return
-        sim.active_process = prev
         if type(target) is not Event and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name} yielded {target!r}; processes must yield Events"
             )
         if target._state == PROCESSED:
             # Already-fired event: resume on the next scheduling round.
+            sim = self.sim
             sim._seq += 1
             sim._ready.append((sim.now, sim._seq, _Resume(self, target._value, target._ok)))
-            self._waiting_on = None
         else:
             target.callbacks.append(self._resume)
             self._waiting_on = target
@@ -389,7 +414,6 @@ class Simulator:
     def __init__(self, strict: bool = True, seed: int = 0):
         self.now: float = 0.0
         self.strict = strict
-        self.active_process: Optional[Process] = None
         #: delayed events: heap of (time, seq, obj).
         self._queue: list[tuple[float, int, Any]] = []
         #: zero-delay events: deque of (time, seq, obj), always sorted
@@ -399,9 +423,13 @@ class Simulator:
         self._seed = seed
         self._rng = None
         #: lazily-created :class:`repro.sim.timers.TimerWheel` -- the
-        #: third calendar source.  None until ``sim.wheel`` is touched;
-        #: the merge loops below pay one predicate per event for it.
+        #: third calendar source.  None until ``sim.wheel`` is touched.
         self._wheel = None
+        #: lower bound on the wheel's earliest live entry time; -inf
+        #: forces the next dispatch iteration to probe ``wheel.head()``
+        #: (kept by :mod:`repro.sim.timers`; read by :meth:`_drain` and
+        #: by the CPU model's inline wake-up).
+        self._wnext = _INF
         #: total calendar entries processed (events, timeouts, resumes).
         self._event_count = 0
         #: optional :class:`repro.faults.FaultPlan` consulted by the fault
@@ -440,8 +468,10 @@ class Simulator:
     def event_count(self) -> int:
         """Calendar entries processed since construction.
 
-        Counts everything :meth:`step` pops -- events, timeouts, and the
-        engine's internal resume records -- so ``event_count / wall_s``
+        Counts everything the dispatch loop pops -- events, timeouts,
+        and the engine's internal resume records -- plus the CPU
+        wake-ups run inline (see :class:`repro.sim.resources.CPUCores`),
+        exactly as if they had been queued; so ``event_count / wall_s``
         is the engine-throughput figure tracked by
         ``benchmarks/bench_engine_throughput.py``.
         """
@@ -535,28 +565,84 @@ class Simulator:
                 return wt
         return t
 
-    def step(self) -> None:
-        """Process exactly one event (the globally oldest by (time, seq))."""
+    def _idle(self) -> bool:
+        """True when no calendar source holds an entry."""
+        wheel = self._wheel
+        return not self._ready and not self._queue and (wheel is None or not wheel._live)
+
+    def _drain(self, limit: float, stop: Optional[Event], budget: int) -> None:
+        """The dispatch loop behind :meth:`step` and every ``run*`` method.
+
+        Fires calendar entries in global ``(time, seq)`` order until the
+        calendar empties, the next entry lies past ``limit``, ``stop``
+        has fired (checked before each entry), or ``budget`` entries
+        have been taken from the calendar (-1 = unbounded).  ``now`` is
+        left at the last entry fired.
+
+        The run queue and the heap are merged on every entry; the wheel
+        is probed only when ``_wnext`` (a lower bound on its earliest
+        live entry, or -inf when it must be probed) is at or before the
+        next run-queue/heap time, so a wheel-heavy simulation calls
+        ``head()`` a few times per timer instead of once per entry.
+        """
         ready = self._ready
         queue = self._queue
-        wheel = self._wheel
-        whead = wheel.head() if (wheel is not None and wheel._live) else None
-        entry = None
-        if ready and (not queue or ready[0] < queue[0]):
-            if whead is None or not (whead.key < ready[0]):
-                entry = ready.popleft()
-        elif queue and (whead is None or not (whead.key < queue[0])):
-            entry = heapq.heappop(queue)
-        elif whead is None:
-            heapq.heappop(queue)  # empty calendar: raises IndexError
-        if entry is not None:
-            self.now = entry[0]
-            self._event_count += 1
-            entry[2]._process()
-            return
-        self.now = whead.time
-        self._event_count += 1
-        wheel.pop_head()._process()
+        popleft = ready.popleft
+        heappop = heapq.heappop
+        count = 0
+        try:
+            while count != budget:
+                if stop is not None and stop._state != PENDING:
+                    return
+                if ready:
+                    entry = ready[0]
+                    lane = ready
+                    if queue and queue[0] < entry:
+                        entry = queue[0]
+                        lane = queue
+                elif queue:
+                    entry = queue[0]
+                    lane = queue
+                else:
+                    entry = _END
+                    lane = None
+                t = entry[0]
+                if self._wnext <= t:
+                    wheel = self._wheel
+                    if wheel is not None and wheel._live:
+                        whead = wheel.head()
+                        if whead.key < entry:
+                            if whead.time > limit:
+                                return
+                            self.now = whead.time
+                            count += 1
+                            wheel.pop_head()._process()
+                            continue
+                if t > limit or lane is None:
+                    return
+                if lane is ready:
+                    popleft()
+                else:
+                    heappop(queue)
+                self.now = t
+                count += 1
+                entry[2]._process()
+        finally:
+            self._event_count += count
+
+    def step(self) -> None:
+        """Process the globally oldest calendar entry (by ``(time, seq)``).
+
+        Raises IndexError on an empty calendar.  A CPU segment whose
+        wake-up would fire next anyway runs its waiters inline (see
+        :class:`repro.sim.resources.CPUCores`), so one step can fire a
+        segment completion together with its wake-up; ``event_count``
+        still rises by two.
+        """
+        count = self._event_count
+        self._drain(_INF, None, 1)
+        if self._event_count == count:
+            raise IndexError("step on an empty calendar")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar empties or ``until`` is reached.
@@ -565,76 +651,12 @@ class Simulator:
         even if the last event fires earlier, so back-to-back ``run``
         calls compose like wall-clock intervals.
         """
-        ready = self._ready
-        queue = self._queue
-        heappop = heapq.heappop
-        wheel = self._wheel
-        count = 0
         if until is None:
-            while True:
-                # The wheel may be created (or gain entries) mid-run, so
-                # the merge re-checks it every iteration; a wheel-less
-                # simulation pays one attribute load and one predicate.
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                entry = None
-                if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = ready.popleft()
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
-                else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
-            self._event_count += count
+            self._drain(_INF, None, -1)
             return
         if until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        heappush = heapq.heappush
-        popleft = ready.popleft
-        try:
-            # Pop-then-restore: popping directly and putting the entry
-            # back on the (at most one) break beats peeking every
-            # iteration on the hot path.  Wheel entries past ``until``
-            # are simply not taken (the wheel is peek-then-pop).
-            while True:
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                if whead is not None and whead.time > until:
-                    whead = None
-                entry = None
-                if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > until:
-                            ready.appendleft(entry)
-                            break
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > until:
-                            heappush(queue, entry)
-                            break
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
-                else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
-        finally:
-            self._event_count += count
+        self._drain(until, None, -1)
         self.now = until
 
     def run_bounded(self, limit: float, stop: Optional[Process] = None) -> bool:
@@ -647,52 +669,12 @@ class Simulator:
         is left at the last event processed -- the caller owns the
         decision to advance ``now`` to the horizon (or inject imported
         events first).  With ``stop`` given, processing also halts the
-        moment that process completes (checked before each pop, exactly
-        like :meth:`run_until_complete`).  Returns True iff ``stop``
-        completed.  Same pop-then-restore structure as :meth:`run`.
+        moment that process completes (checked before each entry,
+        exactly like :meth:`run_until_complete`).  Returns True iff
+        ``stop`` completed.
         """
-        ready = self._ready
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        popleft = ready.popleft
-        pending = PENDING
-        wheel = self._wheel
-        count = 0
-        try:
-            while True:
-                if stop is not None and stop._state != pending:
-                    return True
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                if whead is not None and whead.time > limit:
-                    whead = None
-                entry = None
-                if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > limit:
-                            ready.appendleft(entry)
-                            break
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > limit:
-                            heappush(queue, entry)
-                            break
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
-                else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
-        finally:
-            self._event_count += count
-        return stop is not None and stop._state != pending
+        self._drain(limit, stop, -1)
+        return stop is not None and stop._state != PENDING
 
     def run_until_complete(self, process: Process, timeout: Optional[float] = None) -> Any:
         """Run until ``process`` finishes and return its value.
@@ -702,48 +684,11 @@ class Simulator:
         simulated seconds elapse) before it finishes.
         """
         deadline = _INF if timeout is None else self.now + timeout
-        ready = self._ready
-        queue = self._queue
-        heappop = heapq.heappop
-        popleft = ready.popleft
-        pending = PENDING
-        wheel = self._wheel
-        count = 0
-        try:
-            # Same pop-then-restore structure as run(): the deadline is
-            # exceeded at most once, so the restore branch never runs on
-            # the hot path.
-            while process._state == pending:
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                entry = None
-                if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > deadline:
-                            ready.appendleft(entry)
-                            raise SimulationError(f"timeout waiting for {process.name}")
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > deadline:
-                            heapq.heappush(queue, entry)
-                            raise SimulationError(f"timeout waiting for {process.name}")
-                elif whead is None:
-                    raise SimulationError(f"deadlock: {process.name} never finished")
-                if entry is not None:
-                    self.now = entry[0]
-                    count += 1
-                    entry[2]._process()
-                else:
-                    if whead.time > deadline:
-                        raise SimulationError(f"timeout waiting for {process.name}")
-                    self.now = whead.time
-                    count += 1
-                    wheel.pop_head()._process()
-        finally:
-            self._event_count += count
+        self._drain(deadline, process, -1)
+        if process._state == PENDING:
+            if self._idle():
+                raise SimulationError(f"deadlock: {process.name} never finished")
+            raise SimulationError(f"timeout waiting for {process.name}")
         if not process.ok:
             raise process.value
         return process.value

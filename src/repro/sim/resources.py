@@ -17,7 +17,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Deque, Hashable, Optional
 
-from repro.sim.engine import TRIGGERED, Event, SimulationError, Simulator
+from repro.sim.engine import PENDING, PROCESSED, TRIGGERED, Event, SimulationError, Simulator
 
 __all__ = ["CPUCores", "Resource", "Store"]
 
@@ -136,65 +136,77 @@ class _Core:
         self.last_domain: Optional[Hashable] = None
 
 
-class _Completion:
-    """Calendar entry marking the end of one CPU work segment.
+class _Completion(Event):
+    """The Event :meth:`CPUCores.execute` returns, which is also the
+    calendar entry ending its segment: one object per segment.
 
-    Replaces the old Timeout-plus-callback-lambda chain with a single
-    scheduled record: the whole segment lifecycle is one heap entry, no
-    intermediate Event or closure allocation.  Scheduling order matches
-    the old ``_start``/``_finish`` chain exactly (one sequence number per
-    segment, completion work before ``done.succeed()``).
+    Its first firing (state PENDING) ends the segment: it frees the core,
+    releases the domain's vCPU slot, admits the next queued segment, then
+    triggers itself exactly like ``succeed()`` -- one sequence number for
+    a wake-up at ``(now, seq)``.  When that wake-up would be the next
+    calendar entry anyway (run queue empty, heap head later than ``now``,
+    no wheel entry at or before ``now`` and no wheel probe pending), the
+    waiters run inline and the wake-up is still counted in
+    ``event_count``; otherwise the wake-up goes on the run queue and the
+    second firing (state TRIGGERED) runs the waiters like any Event.
 
     ``st`` is the domain's ``[running, limit]`` accounting record (see
     :attr:`CPUCores._dom`), carried here so releasing the segment is a
     list update instead of a second dict lookup on the domain key.
     """
 
-    __slots__ = ("cpus", "core", "st", "done")
+    __slots__ = ("cpus", "core", "st")
 
-    def __init__(self, cpus: "CPUCores", core: _Core, st: list, done: Event):
+    def __init__(self, cpus: "CPUCores"):
+        # Event.__init__ inlined (one segment per CPU charge).
+        self.sim = cpus.sim
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._ok = True
+        self.name = "cpu"
         self.cpus = cpus
-        self.core = core
-        self.st = st
-        self.done = done
 
     def _process(self) -> None:
-        # Inlined CPUCores._release + Event.succeed (the two hottest
-        # calls in the whole simulation run through here): free the
-        # core, decrement the domain's running count, admit the next
-        # queued segment, then trigger ``done`` on the immediate run
-        # queue.  ``done`` is engine-owned and still PENDING by
-        # construction, so the succeed() re-trigger guard is skipped.
+        if self._state != PENDING:
+            Event._process(self)  # the queued wake-up
+            return
         cpus = self.cpus
         self.core.busy = False
         self.st[0] -= 1
         if cpus._queue:
-            cpus._admit(self.core)
-        done = self.done
-        done._state = TRIGGERED
-        sim = done.sim
+            cpus._admit()
+        self._state = TRIGGERED
+        sim = self.sim
         sim._seq += 1
-        sim._ready.append((sim.now, sim._seq, done))
+        now = sim.now
+        queue = sim._queue
+        if sim._ready or (queue and queue[0][0] <= now) or sim._wnext <= now:
+            sim._ready.append((now, sim._seq, self))
+            return
+        sim._event_count += 1
+        self._state = PROCESSED
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
 
 
 class _CallCompletion:
     """Calendar entry ending a CPU segment by *calling* a function.
 
     The :meth:`CPUCores.execute_call` variant of :class:`_Completion`:
-    instead of succeeding a done Event (one calendar entry for the
-    completion plus one for the event bounce, plus an Event allocation),
-    the completion invokes ``fn()`` directly -- the whole segment
-    lifecycle is ONE heap entry and zero Event objects.  Used by the
-    event-channel upcall path, where the continuation is always a plain
-    handler call with no waiters.
+    the completion invokes ``fn()`` directly instead of waking waiters,
+    so the whole segment lifecycle is ONE calendar entry and no Event.
+    Used by the event-channel upcall path, where the continuation is
+    always a plain handler call with no waiters.
     """
 
     __slots__ = ("cpus", "core", "st", "fn")
 
-    def __init__(self, cpus: "CPUCores", core: _Core, st: list, fn):
+    def __init__(self, cpus: "CPUCores", fn):
         self.cpus = cpus
-        self.core = core
-        self.st = st
         self.fn = fn
 
     def _process(self) -> None:
@@ -202,7 +214,7 @@ class _CallCompletion:
         self.core.busy = False
         self.st[0] -= 1
         if cpus._queue:
-            cpus._admit(self.core)
+            cpus._admit()
         self.fn()
 
 
@@ -251,36 +263,12 @@ class CPUCores:
         """Per-domain vCPU caps as a plain dict (introspection/tests)."""
         return {d: st[1] for d, st in self._dom.items() if st[1] is not None}
 
-    def _may_run(self, domain: Hashable) -> bool:
-        st = self._dom.get(domain)
-        return st is None or st[1] is None or st[0] < st[1]
-
     def execute(self, domain: Hashable, cost: float) -> Event:
         """Run ``cost`` seconds of work for ``domain``; event fires at end."""
         if cost < 0:
             raise ValueError(f"negative work cost: {cost}")
-        done = Event(self.sim, "cpu")
-        # Inlined _may_run/_pick_core (this is the hottest call site in
-        # the whole simulation); selection order matches _pick_core
-        # exactly: prefer a free core that last ran this domain, else the
-        # first free core.
-        st = self._dom.get(domain)
-        if st is None:
-            st = self._dom[domain] = [0, None]
-        if st[1] is None or st[0] < st[1]:
-            best = None
-            for core in self.cores:
-                if core.busy:
-                    continue
-                if core.last_domain == domain:
-                    best = core
-                    break
-                if best is None:
-                    best = core
-            if best is not None:
-                self._start(best, domain, st, cost, done)
-                return done
-        self._queue.append((st, domain, cost, done))
+        done = _Completion(self)
+        self._dispatch(domain, cost, done)
         return done
 
     def execute_call(self, domain: Hashable, cost: float, fn) -> None:
@@ -288,30 +276,14 @@ class CPUCores:
 
         The fire-and-forget variant of :meth:`execute` for continuations
         nobody waits on (event-channel upcall handlers): completing the
-        segment calls ``fn`` directly instead of succeeding an Event, so
-        the whole segment costs one calendar entry instead of two and
-        allocates no Event.  Scheduling (core affinity, vCPU limits,
-        switch penalty, FIFO queueing) is identical to :meth:`execute`.
+        segment calls ``fn`` directly instead of waking an Event's
+        waiters, so the segment costs one calendar entry and allocates
+        no Event.  Scheduling (core affinity, vCPU limits, switch
+        penalty, FIFO queueing) is identical to :meth:`execute`.
         """
         if cost < 0:
             raise ValueError(f"negative work cost: {cost}")
-        st = self._dom.get(domain)
-        if st is None:
-            st = self._dom[domain] = [0, None]
-        if st[1] is None or st[0] < st[1]:
-            best = None
-            for core in self.cores:
-                if core.busy:
-                    continue
-                if core.last_domain == domain:
-                    best = core
-                    break
-                if best is None:
-                    best = core
-            if best is not None:
-                self._start(best, domain, st, cost, fn)
-                return
-        self._queue.append((st, domain, cost, fn))
+        self._dispatch(domain, cost, _CallCompletion(self, fn))
 
     def execute_batch(self, domain: Hashable, costs) -> Event:
         """Run several work parts for ``domain`` as ONE segment.
@@ -335,61 +307,57 @@ class CPUCores:
         """Work segments waiting for a core or a vCPU slot."""
         return len(self._queue)
 
-    def _pick_core(self, domain: Hashable) -> Optional[_Core]:
-        best = None
-        for core in self.cores:
-            if core.busy:
-                continue
-            if core.last_domain == domain:
-                return core
-            if best is None:
-                best = core
-        return best
+    def _dispatch(self, domain: Hashable, cost: float, comp) -> None:
+        """Start a segment ending in ``comp``, or queue it.
 
-    def _start(self, core: _Core, domain: Hashable, st: list, cost: float, done) -> None:
-        total = cost
-        last = core.last_domain
-        if last is not None and last != domain:
-            total += self.switch_penalty
-            self.total_switches += 1
-        core.busy = True
-        core.last_domain = domain
-        st[0] += 1
-        self.total_busy_time += total
-        # Single scheduled completion for the whole segment, placed on
-        # the calendar directly (Simulator._schedule inlined; ``total``
-        # is never negative here).  ``done`` is an Event (execute) or a
-        # bare callable (execute_call).
-        comp = (
-            _Completion(self, core, st, done)
-            if type(done) is Event
-            else _CallCompletion(self, core, st, done)
-        )
-        sim = self.sim
-        sim._seq += 1
-        if total == 0.0:
-            sim._ready.append((sim.now, sim._seq, comp))
-        else:
-            heappush(sim._queue, (sim.now + total, sim._seq, comp))
-
-    def _admit(self, freed: _Core) -> None:
-        """Admit the first queued segment whose domain is under its limit.
-
-        Called from the completion records right after they free a core
-        (_may_run/_pick_core inlined: with 1-vCPU guests the queue is
-        rarely empty here, making this the second-hottest CPU path).
+        The one copy of core selection: while ``domain`` is under its
+        vCPU limit, prefer a free core that last ran it, else take the
+        first free core.  A started segment pays ``switch_penalty`` when
+        its core last ran another domain, and its completion goes on the
+        calendar directly (``Simulator._schedule`` inlined; the total is
+        never negative here).
         """
-        for i, (qst, qdomain, cost, ev) in enumerate(self._queue):
-            if qst[1] is None or qst[0] < qst[1]:
-                del self._queue[i]
-                chosen = None
-                for c in self.cores:
-                    if c.busy:
-                        continue
-                    if c.last_domain == qdomain:
-                        chosen = c
-                        break
-                    if chosen is None:
-                        chosen = c
-                self._start(chosen or freed, qdomain, qst, cost, ev)
+        st = self._dom.get(domain)
+        if st is None:
+            st = self._dom[domain] = [0, None]
+        if st[1] is None or st[0] < st[1]:
+            best = None
+            for core in self.cores:
+                if core.busy:
+                    continue
+                if core.last_domain == domain:
+                    best = core
+                    break
+                if best is None:
+                    best = core
+            if best is not None:
+                total = cost
+                last = best.last_domain
+                if last is not None and last != domain:
+                    total += self.switch_penalty
+                    self.total_switches += 1
+                best.busy = True
+                best.last_domain = domain
+                st[0] += 1
+                self.total_busy_time += total
+                comp.core = best
+                comp.st = st
+                sim = self.sim
+                sim._seq += 1
+                if total == 0.0:
+                    sim._ready.append((sim.now, sim._seq, comp))
+                else:
+                    heappush(sim._queue, (sim.now + total, sim._seq, comp))
+                return
+        self._queue.append((st, domain, cost, comp))
+
+    def _admit(self) -> None:
+        """Start the first queued segment whose domain is under its
+        limit (called by a completion right after it frees a core; with
+        1-vCPU guests the queue is rarely empty here)."""
+        queue = self._queue
+        for i, (st, domain, cost, comp) in enumerate(queue):
+            if st[1] is None or st[0] < st[1]:
+                del queue[i]
+                self._dispatch(domain, cost, comp)
                 return

@@ -63,6 +63,7 @@ _MASK = _SLOTS - 1
 _LEVELS = 4
 
 _KEY = (lambda e: e.key)
+_INF = float("inf")
 
 
 class WheelTimeout(Event):
@@ -131,7 +132,9 @@ class TimerWheel:
     """Hierarchical timer wheel bound to one :class:`Simulator`.
 
     Created lazily via ``sim.wheel``; a simulator that never touches it
-    pays one predicate per event in the engine loops and nothing else.
+    pays nothing.  It keeps ``sim._wnext`` a lower bound on its earliest
+    live entry (-inf when the next ``head()`` may have to collect), which
+    is how the engine's dispatch loop knows when to probe it.
     """
 
     __slots__ = (
@@ -231,13 +234,16 @@ class TimerWheel:
                 pos += 1
             if pos < n:
                 self._due_pos = pos
-                return due[pos]
+                entry = due[pos]
+                self.sim._wnext = entry.time
+                return entry
             # _due exhausted: everything live (if anything) is in the
             # wheel proper at ticks >= cursor, strictly after every
             # consumed entry.  Collect the next non-empty slot.
             self._due_pos = pos
             if self._live == 0:
                 self._reset()
+                self.sim._wnext = _INF
                 return None
             self._collect()
             due = self._due
@@ -247,12 +253,22 @@ class TimerWheel:
     def pop_head(self):
         """Remove and return the entry :meth:`head` reported (caller
         must have just called :meth:`head`)."""
-        entry = self._due[self._due_pos]
-        self._due_pos += 1
+        due = self._due
+        pos = self._due_pos
+        entry = due[pos]
+        pos += 1
+        self._due_pos = pos
         self._live -= 1
         self.fired += 1
         if self._live == 0:
             self._reset()
+            self.sim._wnext = _INF
+        elif pos < len(due) and not due[pos].cancelled:
+            self.sim._wnext = due[pos].time
+        else:
+            # The next head() may have to collect (or skip tombstones):
+            # probe it on the very next dispatch iteration.
+            self.sim._wnext = -_INF
         return entry
 
     # -- internals -------------------------------------------------------
@@ -286,6 +302,10 @@ class TimerWheel:
             now_tick = int(sim.now / TICK)
             if now_tick > self._cursor:
                 self._cursor = now_tick
+            # The next head() collects this entry's slot.
+            sim._wnext = -_INF
+        elif time < sim._wnext:
+            sim._wnext = time
         self._live += 1
         self._file(entry, int(time / TICK))
 
@@ -313,6 +333,10 @@ class TimerWheel:
         self._live -= 1
         if self._live == 0:
             self._reset()
+            self.sim._wnext = _INF
+        else:
+            # The tombstone may have been the head of ``_due``.
+            self.sim._wnext = -_INF
 
     def _collect(self) -> None:
         """Advance the cursor to the next non-empty slot and drain it

@@ -58,6 +58,34 @@ class TestInterruptRaces:
         sim.run()
         assert len(outcome) == 1
 
+    def test_interrupt_takes_pending_resume_of_fired_event(self, sim):
+        """Yielding an already-fired event parks the process on a resume
+        record.  An interrupt queued just before takes that wakeup, and
+        the stale record must not resume the generator a second time."""
+        shared = sim.event()
+        log = []
+
+        def gen():
+            fired = sim.event().succeed("early")
+            log.append(("shared", (yield shared)))
+            try:
+                log.append(("value", (yield fired)))
+            except Interrupt as intr:
+                log.append(("interrupt", intr.cause))
+            log.append(("slept", (yield sim.timeout(1.0, "t"))))
+
+        proc = sim.process(gen())
+
+        def driver():
+            yield sim.timeout(0.5)
+            shared.succeed("go")  # resumes proc first ...
+            proc.interrupt("first")  # ... which then parks on ``fired``
+
+        sim.process(driver())
+        sim.run()
+        assert log == [("shared", "go"), ("interrupt", "first"), ("slept", "t")]
+        assert sim.now == 1.5
+
     def test_interrupting_finished_process_during_same_step(self, sim):
         def quick():
             yield sim.timeout(1.0)
