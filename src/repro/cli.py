@@ -137,9 +137,7 @@ def cmd_faults(args) -> int:
     """Run the fault-injection matrix; nonzero exit on any failed cell."""
     from repro.scenarios.fault_matrix import run_fault_matrix
 
-    results = run_fault_matrix(
-        seed=args.seed, shards=args.shards, warm=not args.cold
-    )
+    results = run_fault_matrix(seed=args.seed)
     print(report.format_fault_matrix(results))
     return 0 if all(r["ok"] for r in results) else 1
 
@@ -272,16 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     tr.add_argument("scenario", nargs="?", choices=list(scenarios.SCENARIO_BUILDERS))
     flt = sub.add_parser("faults", help="fault-injection matrix sweep")
     flt.add_argument("--seed", type=int, default=0)
-    flt.add_argument(
-        "--shards", type=int, default=1, choices=(1, 2),
-        help="2: run each cell under the two-shard PDES mode "
-        "(fault recovery across the process boundary)",
-    )
-    flt.add_argument(
-        "--cold", action="store_true",
-        help="build every cell from scratch instead of forking the warm "
-        "pair snapshot (results are identical either way)",
-    )
     snp = sub.add_parser(
         "snapshot", help="checkpoint tooling: save/restore/fork/inspect"
     )

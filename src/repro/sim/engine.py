@@ -30,9 +30,9 @@ around these ideas:
   O(1) instead of O(log n) per event.
 * **One dispatch loop.**  :meth:`Simulator._drain` is the only loop
   that fires calendar entries; :meth:`~Simulator.step`,
-  :meth:`~Simulator.run`, :meth:`~Simulator.run_bounded` and
-  :meth:`~Simulator.run_until_complete` wrap it with a time limit, a
-  process to stop on, and an entry budget.
+  :meth:`~Simulator.run` and :meth:`~Simulator.run_until_complete`
+  wrap it with a time limit, a process to stop on, and an entry
+  budget.
 * **Wheel probed on demand.**  The timer wheel
   (:mod:`repro.sim.timers`) is the third calendar source.
   ``Simulator._wnext`` is a lower bound on the time of its earliest
@@ -658,23 +658,6 @@ class Simulator:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
         self._drain(until, None, -1)
         self.now = until
-
-    def run_bounded(self, limit: float, stop: Optional[Process] = None) -> bool:
-        """Process every event with ``time <= limit``; never advances
-        ``now`` past the last processed event.
-
-        This is the shard-aware inner loop used by the conservative-PDES
-        layer (:mod:`repro.sim.pdes`): a shard may only execute events up
-        to its current safe-time horizon, so unlike :meth:`run` the clock
-        is left at the last event processed -- the caller owns the
-        decision to advance ``now`` to the horizon (or inject imported
-        events first).  With ``stop`` given, processing also halts the
-        moment that process completes (checked before each entry,
-        exactly like :meth:`run_until_complete`).  Returns True iff
-        ``stop`` completed.
-        """
-        self._drain(limit, stop, -1)
-        return stop is not None and stop._state != PENDING
 
     def run_until_complete(self, process: Process, timeout: Optional[float] = None) -> Any:
         """Run until ``process`` finishes and return its value.

@@ -65,8 +65,8 @@ __all__ = [
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
 SNAPSHOT_FORMAT = 1
 
-#: live forking needs a POSIX fork (the PDES shard runner already does;
-#: platforms without it can still save/restore/inspect manifests).
+#: live forking needs a POSIX fork (platforms without it can still
+#: save/restore/inspect manifests).
 HAS_FORK = hasattr(os, "fork")
 
 

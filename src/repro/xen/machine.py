@@ -35,12 +35,11 @@ _mac_counter = itertools.count(1)
 def reset_guest_mac_counter(start: int = 1) -> None:
     """Rebase the auto-assigned guest MAC counter.
 
-    The counter is process-global, so a forked shard worker inherits
-    whatever state the parent left behind.  Each worker rebases it to
-    its shard's global guest-position offset before building (see
-    :func:`repro.topology.build_shard`): every guest then gets the same
-    MAC it would have received in the equivalent unsharded build, and
-    workers can never collide with each other.
+    The counter is process-global, so it carries over from every
+    cluster this process (or a forking parent) built before.
+    :meth:`repro.topology.ClusterSpec.build` rebases it first, so a
+    spec's guests get the same MACs on every build and snapshot digests
+    stay reproducible.
     """
     global _mac_counter
     _mac_counter = itertools.count(start)

@@ -1,17 +1,17 @@
 """Every way of driving the engine fires the same entries in the same order.
 
-``step()``, ``run()``, ``run(until)``, ``run_bounded`` and
-``run_until_complete`` all wrap one dispatch loop.  This property test
-generates seeded random schedules that mix every calendar source -- heap
-timeouts, wheel timeouts, cancellable ``call_after`` timers, CPU
-segments queueing behind vCPU limits (``execute`` and
-``execute_call``), zero-delay succeeds and interrupts -- and checks that
-all five drivers, plus a reference that probes the wheel before every
-entry, produce the same ``(time, label)`` log, the same ``event_count``
-and the same wheel counters (so collects and cascades happen at the
-same points).  The ``step()`` driver also checks, after every entry,
-that ``sim._wnext`` never exceeds the wheel's true earliest live entry:
-the loop skips the wheel probe on that bound.
+``step()``, ``run()``, ``run(until)`` and ``run_until_complete`` all
+wrap one dispatch loop.  This property test generates seeded random
+schedules that mix every calendar source -- heap timeouts, wheel
+timeouts, cancellable ``call_after`` timers, CPU segments queueing
+behind vCPU limits (``execute`` and ``execute_call``), zero-delay
+succeeds and interrupts -- and checks that all four drivers, plus a
+reference that probes the wheel before every entry, produce the same
+``(time, label)`` log, the same ``event_count`` and the same wheel
+counters (so collects and cascades happen at the same points).  The
+``step()`` driver also checks, after every entry, that ``sim._wnext``
+never exceeds the wheel's true earliest live entry: the loop skips the
+wheel probe on that bound.
 """
 
 import random
@@ -147,13 +147,6 @@ def _drive_run_until(sim, rng, waiter):
         sim.run(until=sim.now + rng.choice(CHUNKS))
 
 
-def _drive_run_bounded(sim, rng, waiter):
-    limit = sim.now  # run_bounded leaves ``now`` at the last entry fired
-    while not sim._idle():
-        limit += rng.choice((0.0,) + CHUNKS)
-        sim.run_bounded(limit)
-
-
 def _drive_step(sim, rng, waiter):
     while True:
         try:
@@ -183,7 +176,6 @@ def _drive_probe_every_entry(sim, rng, waiter):
 DRIVERS = [
     _drive_run,
     _drive_run_until,
-    _drive_run_bounded,
     _drive_step,
     _drive_until_complete,
     _drive_probe_every_entry,

@@ -14,7 +14,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-@pytest.mark.parametrize("module", ["repro.topology", "repro.sim.pdes", "repro.scenarios"])
+@pytest.mark.parametrize("module", ["repro.topology", "repro.scenarios"])
 def test_imports_first_in_fresh_interpreter(module):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
