@@ -172,8 +172,7 @@ def format_engine_stats(stats: Mapping[str, float]) -> str:
         lines.append(
             "timers: "
             f"scheduled={sched:,}  fired={tmr['fired']:,}  "
-            f"cancelled={tmr['cancelled']:,} ({cancel_rate:.1f}%)  "
-            f"cascades={tmr['cascades']:,}"
+            f"cancelled={tmr['cancelled']:,} ({cancel_rate:.1f}%)"
         )
     return "\n".join(lines)
 

@@ -34,7 +34,7 @@ from repro.scenarios.congestion import (
     xenloop_fairness,
     xenloop_incast,
 )
-from repro.scenarios.fault_matrix import fault_matrix, run_fault_matrix
+from repro.scenarios.fault_matrix import run_fault_matrix
 from repro.scenarios.serving import run_serving_cell, xenloop_serving
 from repro.scenarios.paper import (
     inter_machine,
@@ -55,7 +55,6 @@ __all__ = [
     "ScenarioSpec",
     "bigcluster_spec",
     "build",
-    "fault_matrix",
     "inter_machine",
     "migration_pair",
     "native_loopback",

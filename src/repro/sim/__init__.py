@@ -20,6 +20,7 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timeout,
+    Timer,
 )
 from repro.sim.resources import CPUCores, Resource, Store
 from repro.sim.stats import (
@@ -30,7 +31,6 @@ from repro.sim.stats import (
     ThroughputProbe,
     TimeSeries,
 )
-from repro.sim.timers import TimerWheel, WheelTimeout, WheelTimer
 
 __all__ = [
     "AllOf",
@@ -50,7 +50,5 @@ __all__ = [
     "ThroughputProbe",
     "TimeSeries",
     "Timeout",
-    "TimerWheel",
-    "WheelTimeout",
-    "WheelTimer",
+    "Timer",
 ]

@@ -33,16 +33,9 @@ around these ideas:
   :meth:`~Simulator.run` and :meth:`~Simulator.run_until_complete`
   wrap it with a time limit, a process to stop on, and an entry
   budget.
-* **Wheel probed on demand.**  The timer wheel
-  (:mod:`repro.sim.timers`) is the third calendar source.
-  ``Simulator._wnext`` is a lower bound on the time of its earliest
-  live entry: ``head()``/``pop_head()`` set it and inserts lower it.
-  The loop calls ``wheel.head()`` only when ``_wnext`` is at or before
-  the next run-queue/heap time.  A cancel, a ``pop_head()`` that leaves
-  no live entry at the head of the wheel's due list, and an insert into
-  an empty wheel set it to -inf, forcing a probe on the next entry --
-  the points where a ``head()`` call may collect a slot -- so collects
-  and cascades happen at the same entries as with a probe per entry.
+* **Cancellable timers on the same heap.**  :meth:`Simulator.call_at`
+  puts a :class:`Timer` on the delay heap; ``cancel()`` takes it off,
+  so the loop merges exactly two sources.
 * **Allocation-free resume.**  Process resumption has one body,
   :meth:`Process._resume`, called with the fired Event or with a tiny
   ``__slots__`` record (:class:`_Resume`, :class:`_InterruptResume`)
@@ -76,12 +69,10 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
+    "Timer",
 ]
 
 _INF = float("inf")
-#: stand-in for the next run-queue/heap entry when both are empty: it
-#: sorts after every finite ``(time, seq)`` wheel key.
-_END = (_INF, 0, None)
 
 
 class SimulationError(Exception):
@@ -208,6 +199,53 @@ class Timeout(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout({self.delay}) {hex(id(self))}>"
+
+
+class Timer:
+    """A cancellable callback on the delay heap (see :meth:`Simulator.call_at`).
+
+    Not an Event -- nothing waits on it.  Arming takes one sequence
+    number, so the timer fires at the ``(time, seq)`` a Timeout created
+    at the same point would.  :meth:`cancel` takes the entry off the
+    heap: a cancelled timer never fires, never counts in
+    ``event_count``, never moves ``now`` and never keeps the calendar
+    from being idle.
+    """
+
+    __slots__ = ("sim", "callback", "_entry")
+
+    def __init__(self, sim: "Simulator", time: float, callback: Callable[[], None]):
+        self.sim = sim
+        self.callback = callback
+        sim._seq += 1
+        self._entry = (time, sim._seq, self)
+        heapq.heappush(sim._queue, self._entry)
+        sim.timers_scheduled += 1
+
+    def cancel(self) -> bool:
+        """Remove the timer from the calendar; True if it had neither
+        fired nor been cancelled yet."""
+        entry = self._entry
+        if entry is None:
+            return False
+        self._entry = None
+        queue = self.sim._queue
+        i = queue.index(entry)
+        last = queue.pop()
+        if i < len(queue):
+            queue[i] = last
+            heapq.heapify(queue)
+        self.sim.timers_cancelled += 1
+        return True
+
+    def _process(self) -> None:
+        self._entry = None
+        self.sim.timers_fired += 1
+        self.callback()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "armed" if self._entry is not None else "spent"
+        return f"<Timer {state} {hex(id(self))}>"
 
 
 class _Resume:
@@ -422,14 +460,10 @@ class Simulator:
         self._seq = 0
         self._seed = seed
         self._rng = None
-        #: lazily-created :class:`repro.sim.timers.TimerWheel` -- the
-        #: third calendar source.  None until ``sim.wheel`` is touched.
-        self._wheel = None
-        #: lower bound on the wheel's earliest live entry time; -inf
-        #: forces the next dispatch iteration to probe ``wheel.head()``
-        #: (kept by :mod:`repro.sim.timers`; read by :meth:`_drain` and
-        #: by the CPU model's inline wake-up).
-        self._wnext = _INF
+        #: lifetime counts of :class:`Timer` callbacks (see :meth:`call_at`).
+        self.timers_scheduled = 0
+        self.timers_fired = 0
+        self.timers_cancelled = 0
         #: total calendar entries processed (events, timeouts, resumes).
         self._event_count = 0
         #: optional :class:`repro.faults.FaultPlan` consulted by the fault
@@ -446,23 +480,6 @@ class Simulator:
 
             self._rng = make_rng(self._seed)
         return self._rng
-
-    @property
-    def wheel(self):
-        """The simulator's hierarchical timer wheel (lazily created).
-
-        A second delayed-event calendar with O(1) insert and O(1) lazy
-        cancellation (see :mod:`repro.sim.timers`).  Entries consume
-        sequence numbers from the same counter and are merged into the
-        firing order exactly like the heap and the immediate run queue,
-        so moving a timer between ``sim.timeout`` and
-        ``sim.wheel.timeout`` never changes simulation order.
-        """
-        if self._wheel is None:
-            from repro.sim.timers import TimerWheel
-
-            self._wheel = TimerWheel(self)
-        return self._wheel
 
     @property
     def event_count(self) -> int:
@@ -497,7 +514,7 @@ class Simulator:
             for (t, seq, obj) in sorted(self._queue)
         ]
         ready = [[t, seq, type(obj).__name__] for (t, seq, obj) in self._ready]
-        state = {
+        return {
             "now": self.now,
             "seq": self._seq,
             "event_count": self._event_count,
@@ -509,11 +526,6 @@ class Simulator:
             "ready": ready,
             "has_fault_plan": self.fault_plan is not None,
         }
-        # Only simulations actually holding live wheel timers grow the
-        # extra key -- every pre-wheel digest stays bit-identical.
-        if self._wheel is not None and self._wheel._live:
-            state["wheel"] = self._wheel.snapshot_state()
-        return state
 
     # -- event factories ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -523,6 +535,28 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def call_at(self, time: float, callback: Callable[[], None]) -> Timer:
+        """Run ``callback()`` at absolute sim time ``time``; the returned
+        :class:`Timer` can be cancelled until it fires."""
+        if not self.now <= time < _INF:
+            raise SimulationError(f"timer at {time} is not in [now={self.now}, inf)")
+        return Timer(self, time, callback)
+
+    def call_after(self, delay: float, callback: Callable[[], None]) -> Timer:
+        """Run ``callback()`` ``delay`` seconds from now (see :meth:`call_at`)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return self.call_at(self.now + delay, callback)
+
+    def timer_counters(self) -> dict:
+        """Lifetime :class:`Timer` counts: scheduled, fired, cancelled, live."""
+        return {
+            "scheduled": self.timers_scheduled,
+            "fired": self.timers_fired,
+            "cancelled": self.timers_cancelled,
+            "live": self.timers_scheduled - self.timers_fired - self.timers_cancelled,
+        }
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Run a generator as a concurrent process."""
@@ -553,22 +587,12 @@ class Simulator:
         ready = self._ready
         queue = self._queue
         if ready:
-            t = ready[0][0] if not queue or ready[0] < queue[0] else queue[0][0]
-        elif queue:
-            t = queue[0][0]
-        else:
-            t = _INF
-        wheel = self._wheel
-        if wheel is not None and wheel._live:
-            wt = wheel.head().time
-            if wt < t:
-                return wt
-        return t
+            return ready[0][0] if not queue or ready[0] < queue[0] else queue[0][0]
+        return queue[0][0] if queue else _INF
 
     def _idle(self) -> bool:
-        """True when no calendar source holds an entry."""
-        wheel = self._wheel
-        return not self._ready and not self._queue and (wheel is None or not wheel._live)
+        """True when the calendar holds no entry."""
+        return not self._ready and not self._queue
 
     def _drain(self, limit: float, stop: Optional[Event], budget: int) -> None:
         """The dispatch loop behind :meth:`step` and every ``run*`` method.
@@ -578,12 +602,6 @@ class Simulator:
         has fired (checked before each entry), or ``budget`` entries
         have been taken from the calendar (-1 = unbounded).  ``now`` is
         left at the last entry fired.
-
-        The run queue and the heap are merged on every entry; the wheel
-        is probed only when ``_wnext`` (a lower bound on its earliest
-        live entry, or -inf when it must be probed) is at or before the
-        next run-queue/heap time, so a wheel-heavy simulation calls
-        ``head()`` a few times per timer instead of once per entry.
         """
         ready = self._ready
         queue = self._queue
@@ -604,21 +622,9 @@ class Simulator:
                     entry = queue[0]
                     lane = queue
                 else:
-                    entry = _END
-                    lane = None
+                    return
                 t = entry[0]
-                if self._wnext <= t:
-                    wheel = self._wheel
-                    if wheel is not None and wheel._live:
-                        whead = wheel.head()
-                        if whead.key < entry:
-                            if whead.time > limit:
-                                return
-                            self.now = whead.time
-                            count += 1
-                            wheel.pop_head()._process()
-                            continue
-                if t > limit or lane is None:
+                if t > limit:
                     return
                 if lane is ready:
                     popleft()

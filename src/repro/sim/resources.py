@@ -144,9 +144,8 @@ class _Completion(Event):
     releases the domain's vCPU slot, admits the next queued segment, then
     triggers itself exactly like ``succeed()`` -- one sequence number for
     a wake-up at ``(now, seq)``.  When that wake-up would be the next
-    calendar entry anyway (run queue empty, heap head later than ``now``,
-    no wheel entry at or before ``now`` and no wheel probe pending), the
-    waiters run inline and the wake-up is still counted in
+    calendar entry anyway (run queue empty, heap head later than ``now``),
+    the waiters run inline and the wake-up is still counted in
     ``event_count``; otherwise the wake-up goes on the run queue and the
     second firing (state TRIGGERED) runs the waiters like any Event.
 
@@ -181,7 +180,7 @@ class _Completion(Event):
         sim._seq += 1
         now = sim.now
         queue = sim._queue
-        if sim._ready or (queue and queue[0][0] <= now) or sim._wnext <= now:
+        if sim._ready or (queue and queue[0][0] <= now):
             sim._ready.append((now, sim._seq, self))
             return
         sim._event_count += 1

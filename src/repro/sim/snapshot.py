@@ -63,7 +63,7 @@ __all__ = [
 
 #: manifest format version; bump on any change to the captured tree's
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: live forking needs a POSIX fork (platforms without it can still
 #: save/restore/inspect manifests).
@@ -263,13 +263,8 @@ def build_from_recipe(recipe: dict):
             scn.warmup(max_wait=float(warm.get("max_wait", 30.0)))
         return scn
     if kind == "fault_pair":
-        import importlib
-        import sys
+        from repro.scenarios import fault_matrix as fm
 
-        importlib.import_module("repro.scenarios.fault_matrix")
-        # The scenarios package re-exports the fault_matrix *builder*,
-        # shadowing the submodule attribute -- go through sys.modules.
-        fm = sys.modules["repro.scenarios.fault_matrix"]
         base = fm.MATRIX_COSTS if not recipe.get("costs") else costs
         return fm._build_pair(
             base,

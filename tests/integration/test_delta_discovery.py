@@ -8,7 +8,6 @@ re-establishment, and identity refresh when a crashed guest restarts
 reusing its pinned MAC.
 """
 
-import importlib
 import sys
 
 import pytest
@@ -16,11 +15,9 @@ import pytest
 from repro import topology
 from repro.calibration import DEFAULT_COSTS
 from repro.core.channel import ChannelState
+from repro.scenarios import fault_matrix as fm
 
 FAST = DEFAULT_COSTS.replace(discovery_period=0.2, bootstrap_timeout=0.01)
-
-importlib.import_module("repro.scenarios.fault_matrix")
-fm = sys.modules["repro.scenarios.fault_matrix"]
 
 
 def _delta_spec(n=3, budget=None, full_sync_every=8, pin_last_mac=False):

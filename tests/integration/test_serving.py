@@ -43,7 +43,7 @@ def netfront_cell():
 
 class TestDeterminism:
     """Same seed -> bit-identical summary dict.  The arrival process,
-    the wheel-timer deadlines, the churn schedule, and the loss plan's
+    the deadline timers, the churn schedule, and the loss plan's
     RNG are all seeded."""
 
     def test_fifo(self, fifo_cell):
@@ -82,11 +82,10 @@ class TestCellGoldens:
             "deadline_fires": 0,
             "reconnects": 0,
             "timers": {
-                "scheduled": 1216,
-                "fired": 600,
+                "scheduled": 600,
+                "fired": 0,
                 "cancelled": 600,
-                "cascades": 3,
-                "live": 16,
+                "live": 0,
             },
         }
 
@@ -96,7 +95,7 @@ class TestCellGoldens:
         re-establishment) while a bystander crash/restarts.  The p99
         jumps three orders of magnitude over the quiet cell above and
         the requests stalled behind the migration blow the 2 ms SLO --
-        every one flagged by its wheel deadline timer as it happened
+        every one flagged by its deadline timer as it happened
         (deadline_fires == slo_violations)."""
         assert churn_cell == {
             "scenario": "serving",
@@ -122,11 +121,10 @@ class TestCellGoldens:
             "deadline_fires": 78,
             "reconnects": 0,
             "timers": {
-                "scheduled": 1226,
-                "fired": 696,
+                "scheduled": 600,
+                "fired": 78,
                 "cancelled": 522,
-                "cascades": 5,
-                "live": 8,
+                "live": 0,
             },
         }
 
@@ -159,11 +157,10 @@ class TestCellGoldens:
             "deadline_fires": 172,
             "reconnects": 0,
             "timers": {
-                "scheduled": 852,
-                "fired": 614,
+                "scheduled": 400,
+                "fired": 172,
                 "cancelled": 228,
-                "cascades": 9,
-                "live": 10,
+                "live": 0,
             },
             "frames_dropped": 21,
         }
@@ -190,7 +187,7 @@ class TestServingBehavior:
     def test_deadline_fires_match_violations_when_error_free(
         self, fifo_cell, churn_cell, netloss_cell
     ):
-        # Two independent accountings of the same SLO: the wheel timer
+        # Two independent accountings of the same SLO: the deadline timer
         # that fires at t_arrival+slo while the request is in flight,
         # and the Deadline accumulator fed on completion.  With zero
         # errors every armed deadline resolves one way or the other.

@@ -11,13 +11,8 @@ same goldens as ``test_fastpath_determinism.py``.
 
 import pytest
 
-import importlib
-
 from repro import scenarios
-
-# The scenarios package re-exports the fault_matrix *builder function*,
-# shadowing the submodule attribute -- import the module explicitly.
-fm = importlib.import_module("repro.scenarios.fault_matrix")
+from repro.scenarios import fault_matrix as fm
 from repro.net.packet import WIRE_STATS
 from repro.sim.snapshot import HAS_FORK, SimSnapshot
 from repro.workloads.netperf import udp_stream

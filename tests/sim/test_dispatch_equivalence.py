@@ -2,16 +2,12 @@
 
 ``step()``, ``run()``, ``run(until)`` and ``run_until_complete`` all
 wrap one dispatch loop.  This property test generates seeded random
-schedules that mix every calendar source -- heap timeouts, wheel
-timeouts, cancellable ``call_after`` timers, CPU segments queueing
-behind vCPU limits (``execute`` and ``execute_call``), zero-delay
-succeeds and interrupts -- and checks that all four drivers, plus a
-reference that probes the wheel before every entry, produce the same
-``(time, label)`` log, the same ``event_count`` and the same wheel
-counters (so collects and cascades happen at the same points).  The
-``step()`` driver also checks, after every entry, that ``sim._wnext``
-never exceeds the wheel's true earliest live entry: the loop skips the
-wheel probe on that bound.
+schedules that mix every kind of calendar entry -- timeouts,
+cancellable ``call_after`` timers, CPU segments queueing behind vCPU
+limits (``execute`` and ``execute_call``), zero-delay succeeds and
+interrupts -- and checks that all four drivers produce the same
+``(time, label)`` log, the same ``event_count`` and the same timer
+counters.
 """
 
 import random
@@ -21,7 +17,6 @@ import pytest
 from repro.sim.engine import Interrupt, Simulator
 from repro.sim.resources import CPUCores
 
-INF = float("inf")
 SEEDS = range(24)
 N_PROCS = 16
 N_OPS = 30
@@ -30,8 +25,8 @@ CHUNKS = (2.0**-15, 3e-4, 2.0**-9, 0.03, 0.3)
 
 
 def _delay(rng):
-    """Delays on a coarse power-of-two grid across wheel levels: sums
-    stay exact, so entries from different sources often tie in time."""
+    """Delays on a coarse power-of-two grid: sums stay exact, so
+    entries of different kinds often tie in time."""
     scale = rng.choice([2.0**-16, 2.0**-13, 2.0**-10, 2.0**-6, 2.0**-2])
     return rng.randint(0, 8) * scale
 
@@ -40,13 +35,13 @@ def _scripts(seed):
     """Pre-drawn per-process op lists, so the schedule does not depend
     on the order the drivers happen to fire things in."""
     rng = random.Random(seed)
-    kinds = ["heap", "wheel", "call_after", "call_after", "cancel", "cancel", "cpu", "cpu_call", "succeed", "fired", "interrupt"]
+    kinds = ["heap", "call_after", "call_after", "cancel", "cancel", "cpu", "cpu_call", "succeed", "fired", "interrupt"]
     scripts = []
     for p in range(N_PROCS):
         ops = []
         for _ in range(N_OPS):
             kind = rng.choice(kinds)
-            if kind in ("heap", "wheel", "call_after"):
+            if kind in ("heap", "call_after"):
                 ops.append((kind, _delay(rng)))
             elif kind == "cancel":
                 ops.append((kind, rng.randint(0, N_PROCS * N_OPS)))
@@ -81,16 +76,14 @@ def _build(seed):
             try:
                 if kind == "heap":
                     yield sim.timeout(arg)
-                elif kind == "wheel":
-                    yield sim.wheel.timeout(arg)
                 elif kind == "call_after":
-                    timers.append(sim.wheel.call_after(arg, lambda t=tag: note(t + ".fire")))
+                    timers.append(sim.call_after(arg, lambda t=tag: note(t + ".fire")))
                 elif kind == "cancel":
                     # Half the cancels hit the earliest armed timer: the
-                    # one most likely to be the wheel's due head.
-                    armed = [t for t in timers if t._wheel is not None and not t.cancelled]
+                    # one most likely to be the heap's head.
+                    armed = [t for t in timers if t._entry is not None]
                     if armed:
-                        victim = min(armed, key=lambda t: t.key) if arg % 2 else armed[arg % len(armed)]
+                        victim = min(armed, key=lambda t: t._entry[:2]) if arg % 2 else armed[arg % len(armed)]
                         note(f"{tag}.{victim.cancel()}")
                 elif kind == "cpu":
                     yield cpus.execute(*arg)
@@ -124,20 +117,6 @@ def _build(seed):
     return sim, log, sim.process(wait_all(), name="waiter")
 
 
-def _true_wheel_head(sim):
-    """The wheel's earliest live entry time, found without ``head()``
-    (which would collect and so change what is being checked)."""
-    wheel = sim._wheel
-    if wheel is None or not wheel._live:
-        return INF
-    entries = list(wheel._due[wheel._due_pos :]) + list(wheel._overflow)
-    for level, bitmap in zip(wheel._slots, wheel._bitmaps):
-        for i, slot in enumerate(level):
-            if bitmap >> i & 1:
-                entries.extend(slot)
-    return min((e.time for e in entries if not e.cancelled), default=INF)
-
-
 def _drive_run(sim, rng, waiter):
     sim.run()
 
@@ -153,7 +132,6 @@ def _drive_step(sim, rng, waiter):
             sim.step()
         except IndexError:
             return
-        assert sim._wnext <= _true_wheel_head(sim)
 
 
 def _drive_until_complete(sim, rng, waiter):
@@ -161,24 +139,11 @@ def _drive_until_complete(sim, rng, waiter):
     sim.run()  # timers armed past the last process
 
 
-def _drive_probe_every_entry(sim, rng, waiter):
-    """Reference: probe the wheel before every entry, as the loop did
-    before it kept a bound.  Collects, cascades and the fire order must
-    not depend on skipping probes."""
-    while True:
-        sim._wnext = -INF
-        try:
-            sim.step()
-        except IndexError:
-            return
-
-
 DRIVERS = [
     _drive_run,
     _drive_run_until,
     _drive_step,
     _drive_until_complete,
-    _drive_probe_every_entry,
 ]
 
 
@@ -186,19 +151,18 @@ def _outcome(seed, driver):
     sim, log, waiter = _build(seed)
     driver(sim, random.Random(seed), waiter)
     assert sim._idle()
-    wheel = sim._wheel.counters() if sim._wheel is not None else None
-    return log, sim.event_count, wheel
+    return log, sim.event_count, sim.timer_counters()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_drivers_fire_identically(seed):
-    ref_log, ref_count, ref_wheel = _outcome(seed, _drive_run)
+    ref_log, ref_count, ref_timers = _outcome(seed, _drive_run)
     assert any(label == "all-done" for _, label in ref_log)
     for driver in DRIVERS[1:]:
-        log, count, wheel = _outcome(seed, driver)
+        log, count, timers = _outcome(seed, driver)
         assert log == ref_log, driver.__name__
         assert count == ref_count, driver.__name__
-        assert wheel == ref_wheel, driver.__name__
+        assert timers == ref_timers, driver.__name__
 
 
 def test_schedules_exercise_every_source():
@@ -206,9 +170,9 @@ def test_schedules_exercise_every_source():
     sim, log, waiter = _build(0)
     sim.run()
     labels = " ".join(lbl for _, lbl in log)
-    for needle in ("heap", "wheel", ".fire", "cancel", "cpu", ".done", "succeed", "interrupted-by"):
+    for needle in ("heap", ".fire", "cancel", "cpu", ".done", "succeed", "interrupted-by"):
         assert needle in labels
-    assert sim.wheel.cascades > 0
+    assert sim.timers_cancelled > 0
     assert sim.event_count > 300
 
 
@@ -231,7 +195,7 @@ def test_step_fires_inline_cpu_wake_with_its_completion():
     assert woke == [1e-3] and sim.event_count == 3
 
 
-@pytest.mark.parametrize("calendar", ["heap", "wheel"])
+@pytest.mark.parametrize("calendar", ["heap", "call_after"])
 def test_cpu_wake_queues_behind_same_time_entries(calendar):
     """An entry due at the completion instant with an older sequence
     number fires before the wake-up, exactly as if the wake-up had been
@@ -245,7 +209,7 @@ def test_cpu_wake_queues_behind_same_time_entries(calendar):
         if calendar == "heap":
             sim.timeout(2.0**-10).callbacks.append(lambda ev: log.append("timer"))
         else:
-            sim.wheel.call_after(2.0**-10, lambda: log.append("timer"))
+            sim.call_after(2.0**-10, lambda: log.append("timer"))
         yield done
         log.append("woke")
 

@@ -54,5 +54,5 @@ class TestPaperDefaults:
         for field in dataclasses.fields(CostModel):
             value = getattr(DEFAULT_COSTS, field.name)
             if not isinstance(value, (int, float)):
-                continue  # mode knobs (e.g. tcp_congestion) are strings
+                continue  # a non-numeric knob has no sign to check
             assert value >= 0, field.name

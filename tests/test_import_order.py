@@ -25,3 +25,11 @@ def test_imports_first_in_fresh_interpreter(module):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fault_matrix_submodule_not_shadowed():
+    """The package exposes the ``fault_matrix`` submodule, not a
+    same-named builder function that would hide it."""
+    from repro.scenarios import fault_matrix as fm
+
+    assert callable(fm.run_fault_matrix)

@@ -101,11 +101,10 @@ def notify_breakdown(messages: int) -> str:
 
 
 #: (bucket, filename substring): where a serving run's tottime lands --
-#: the arrival generator + workers, the timer wheel, the network stack,
-#: and the engine's calendar loop.
+#: the arrival generator + workers, the network stack, and the
+#: engine's calendar loop.
 _SERVING_BUCKETS = (
     ("workload", "workloads/serving.py"),
-    ("timer-wheel", "sim/timers.py"),
     ("net-stack", "/net/"),
     ("engine", "sim/engine.py"),
 )
@@ -128,8 +127,8 @@ def serving_breakdown(ps: pstats.Stats, wall: float) -> str:
 
 def profile_serving(args) -> None:
     """The open-loop serving variant: profile one ``xenloop_serving``
-    cell and attribute the wall to workload / timer wheel / stack /
-    engine -- the view that shows the wheel and the streaming histogram
+    cell and attribute the wall to workload / stack / engine -- the
+    view that shows the per-request timers and the streaming histogram
     staying out of the way at high request rates."""
     from repro import report
     from repro.scenarios import run_serving_cell
